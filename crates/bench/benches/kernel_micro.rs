@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use agilewatts::aw_server::LatencyStats;
 use agilewatts::aw_sim::{
     Distribution, EventQueue, Exponential, LogNormal, OnlineStats, P2Quantile, SampleSet, SimRng,
 };
@@ -164,6 +165,23 @@ fn bench(c: &mut Criterion) {
             || s.clone(),
             |mut s| std::hint::black_box(s.percentile(0.99)),
             criterion::BatchSize::SmallInput,
+        )
+    });
+
+    // The per-run latency fold: insertion-order mean plus the four order
+    // statistics every `RunMetrics` reports, over one server_hot-sized
+    // reservoir.
+    c.bench_function("latency_stats_300k", |b| {
+        let mut rng = SimRng::seed(6);
+        let d = LogNormal::from_median(10_000.0, 0.6);
+        let mut s = SampleSet::with_capacity(300_000);
+        for _ in 0..300_000 {
+            s.record(d.sample(&mut rng));
+        }
+        b.iter_batched(
+            || s.clone(),
+            |mut s| std::hint::black_box(LatencyStats::from_samples(&mut s)),
+            criterion::BatchSize::LargeInput,
         )
     });
 }

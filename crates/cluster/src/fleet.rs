@@ -43,7 +43,7 @@ use aw_faults::{
 use aw_server::{
     HardwareModel, LatencyStats, PackageCState, RunOutput, ServerConfig, SimBuilder, WorkloadSpec,
 };
-use aw_sim::SampleSet;
+use aw_sim::{exact_quantiles, SampleSet};
 use aw_sleep::{BreakEven, OpportunitySummary};
 use aw_telemetry::MetricsRegistry;
 use aw_types::{Joules, MilliWatts, Nanos, Ratio};
@@ -566,7 +566,7 @@ impl FleetSim {
                     throttle: plan.throttle[server],
                 })
                 .collect();
-            let outputs: Vec<RunOutput> = SweepExecutor::current().map(&points, |&p| {
+            let outputs: Vec<SimEpoch> = SweepExecutor::current().map(&points, |&p| {
                 let seed = mix_seed(cfg.seed, p.server as u64, p.epoch as u64);
                 let mut workload = cfg.workload.scaled_qps(p.share / proto_qps);
                 if let Some(extra) = p.extra_rtt {
@@ -585,10 +585,10 @@ impl FleetSim {
                     spec.seed = mix_seed(fs.seed, p.server as u64, p.epoch as u64);
                     builder = builder.with_faults(FaultPlan::new(spec));
                 }
-                builder.run()
+                SimEpoch::reduce(builder.run(), &breakevens[p.server], observe)
             });
-            total_events += outputs.iter().map(|o| o.metrics.events).sum::<u64>();
-            let mut slots: Vec<Option<&RunOutput>> = vec![None; cfg.servers];
+            total_events += outputs.iter().map(|o| o.out.metrics.events).sum::<u64>();
+            let mut slots: Vec<Option<&SimEpoch>> = vec![None; cfg.servers];
             for (p, out) in points.iter().zip(&outputs) {
                 slots[p.server] = Some(out);
             }
@@ -604,12 +604,10 @@ impl FleetSim {
                 Vec::with_capacity(if observe { cfg.servers } else { 0 });
 
             // Pulls the sums/samples out of one simulated server-epoch;
-            // shared by the loaded and crashing arms. The slot's own
-            // break-even model comes in as an argument — every
-            // accumulator comes in by reference so the census arms can
-            // keep using them.
-            let absorb_sim = |out: &RunOutput,
-                              be: &BreakEven,
+            // shared by the loaded and crashing arms. Every accumulator
+            // comes in by reference so the census arms can keep using
+            // them.
+            let absorb_sim = |sim: &SimEpoch,
                               phase: f64,
                               samples: &mut SampleSet,
                               all_samples: &mut SampleSet,
@@ -620,7 +618,7 @@ impl FleetSim {
                               agile_sum: &mut f64,
                               pc6_sum: &mut f64,
                               degradation: &mut FleetDegradation| {
-                let m = &out.metrics;
+                let m = &sim.out.metrics;
                 // A mid-epoch crash serves `phase` of the epoch at its
                 // simulated power and is dark (0 W) for the rest, so its
                 // epoch-average contribution scales by `phase`.
@@ -632,11 +630,9 @@ impl FleetSim {
                     / 100.0;
                 *pc6_sum += m.package_residency[2].as_percent() / 100.0;
                 degradation.absorb_server(&m.degradation);
-                let opportunity =
-                    OpportunitySummary::compute(out.idle_intervals.as_deref().unwrap_or(&[]), be);
-                *epoch_achieved += opportunity.achieved_savings;
-                *epoch_oracle += opportunity.oracle_savings;
-                if let Some(lat) = &out.latency_samples {
+                *epoch_achieved += sim.opportunity.achieved_savings;
+                *epoch_oracle += sim.opportunity.oracle_savings;
+                if let Some(lat) = &sim.out.latency_samples {
                     samples.reserve(lat.len());
                     all_samples.reserve(lat.len());
                     for &s in lat {
@@ -644,7 +640,7 @@ impl FleetSim {
                         all_samples.record(s);
                     }
                 }
-                (pkg, opportunity)
+                pkg
             };
 
             for (server, slot) in slots.iter().enumerate() {
@@ -653,12 +649,11 @@ impl FleetSim {
                     // Crashed mid-epoch: served `phase` of it.
                     crashed += 1;
                     match *slot {
-                        Some(out) => {
+                        Some(sim) => {
                             sim_epochs += 1;
                             unparked_epochs += 1;
-                            let (pkg, opportunity) = absorb_sim(
-                                out,
-                                &breakevens[server],
+                            let pkg = absorb_sim(
+                                sim,
                                 phase,
                                 &mut samples,
                                 &mut all_samples,
@@ -672,23 +667,12 @@ impl FleetSim {
                             );
                             power += pkg;
                             if observe {
-                                snapshots.push(ServerEpochSnapshot {
+                                snapshots.push(sim.snapshot(
                                     server,
-                                    role: ServerRole::Crashed,
-                                    share_qps: plan.shares[server],
-                                    power: pkg,
-                                    p99: epoch_p99(out),
-                                    c0_share: out.metrics.residency_of(CState::C0).as_percent()
-                                        / 100.0,
-                                    agile_share: (out
-                                        .metrics
-                                        .residency_of(CState::C6A)
-                                        .as_percent()
-                                        + out.metrics.residency_of(CState::C6AE).as_percent())
-                                        / 100.0,
-                                    counters: epoch_counters(&out.metrics.degradation),
-                                    opportunity,
-                                });
+                                    ServerRole::Crashed,
+                                    plan.shares[server],
+                                    pkg,
+                                ));
                             }
                         }
                         None => {
@@ -757,13 +741,12 @@ impl FleetSim {
                                 ));
                             }
                         }
-                        (true, Some(out)) => {
+                        (true, Some(sim)) => {
                             active += 1;
                             unparked_epochs += 1;
                             sim_epochs += 1;
-                            let (mut pkg, opportunity) = absorb_sim(
-                                out,
-                                &breakevens[server],
+                            let mut pkg = absorb_sim(
+                                sim,
                                 1.0,
                                 &mut samples,
                                 &mut all_samples,
@@ -788,20 +771,12 @@ impl FleetSim {
                             }
                             power += pkg;
                             if observe {
-                                let m = &out.metrics;
-                                snapshots.push(ServerEpochSnapshot {
+                                snapshots.push(sim.snapshot(
                                     server,
-                                    role: ServerRole::Loaded,
-                                    share_qps: plan.shares[server],
-                                    power: pkg,
-                                    p99: epoch_p99(out),
-                                    c0_share: m.residency_of(CState::C0).as_percent() / 100.0,
-                                    agile_share: (m.residency_of(CState::C6A).as_percent()
-                                        + m.residency_of(CState::C6AE).as_percent())
-                                        / 100.0,
-                                    counters: epoch_counters(&m.degradation),
-                                    opportunity,
-                                });
+                                    ServerRole::Loaded,
+                                    plan.shares[server],
+                                    pkg,
+                                ));
                             }
                         }
                     }
@@ -933,17 +908,58 @@ impl FleetSim {
     }
 }
 
-/// This server-epoch's own p99 — exact nearest-rank by selection (O(n),
-/// not a full sort). The rank formula matches `SampleSet::percentile`.
-fn epoch_p99(out: &RunOutput) -> Option<Nanos> {
-    out.latency_samples.as_ref().and_then(|lat| {
-        let mut own = lat.clone();
-        let rank = ((0.99 * own.len() as f64).ceil() as usize).clamp(1, own.len());
-        (!own.is_empty()).then(|| {
-            let (_, &mut p, _) = own.select_nth_unstable_by(rank - 1, f64::total_cmp);
-            Nanos::new(p)
-        })
-    })
+/// One simulated server-epoch as a worker hands it back: the run with
+/// its idle intervals already scored and dropped, so the serial absorb
+/// only adds up sums.
+struct SimEpoch {
+    out: RunOutput,
+    opportunity: OpportunitySummary,
+    /// This server-epoch's own p99, computed only for an observer.
+    p99: Option<Nanos>,
+}
+
+impl SimEpoch {
+    /// Scores `out`'s idle intervals against the slot's break-even model
+    /// and, when `observe` is set, selects its p99. The latency samples
+    /// stay in completion order for the pooled means, so the p99 is
+    /// selected from a copy.
+    fn reduce(mut out: RunOutput, be: &BreakEven, observe: bool) -> Self {
+        let intervals = out.idle_intervals.take();
+        let opportunity = OpportunitySummary::compute(intervals.as_deref().unwrap_or(&[]), be);
+        let p99 = if observe {
+            out.latency_samples.as_ref().and_then(|lat| {
+                let [p99] = exact_quantiles(&mut lat.clone(), [0.99])?;
+                Some(Nanos::new(p99))
+            })
+        } else {
+            None
+        };
+        SimEpoch { out, opportunity, p99 }
+    }
+
+    /// The cockpit snapshot of this server-epoch.
+    fn snapshot(
+        &self,
+        server: usize,
+        role: ServerRole,
+        share_qps: f64,
+        power: MilliWatts,
+    ) -> ServerEpochSnapshot {
+        let m = &self.out.metrics;
+        ServerEpochSnapshot {
+            server,
+            role,
+            share_qps,
+            power,
+            p99: self.p99,
+            c0_share: m.residency_of(CState::C0).as_percent() / 100.0,
+            agile_share: (m.residency_of(CState::C6A).as_percent()
+                + m.residency_of(CState::C6AE).as_percent())
+                / 100.0,
+            counters: epoch_counters(&m.degradation),
+            opportunity: self.opportunity,
+        }
+    }
 }
 
 #[cfg(test)]

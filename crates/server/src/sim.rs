@@ -59,6 +59,38 @@ enum Event {
     Retry { service: Nanos, attempt: u32 },
 }
 
+/// Running sums of the per-request latency phases, added in completion
+/// order. Only their means are reported, so no per-request reservoir is
+/// kept. Each sum starts from `-0.0`, the zero `Iterator::sum::<f64>`
+/// folds from, which keeps the means bit-identical to summing the same
+/// values out of a reservoir.
+#[derive(Debug, Clone, Copy)]
+struct PhaseSums {
+    transition: f64,
+    queue: f64,
+    service: f64,
+}
+
+impl PhaseSums {
+    const ZERO: PhaseSums = PhaseSums { transition: -0.0, queue: -0.0, service: -0.0 };
+
+    fn add(&mut self, transition: Nanos, queue: Nanos, service: Nanos) {
+        self.transition += transition.as_nanos();
+        self.queue += queue.as_nanos();
+        self.service += service.as_nanos();
+    }
+
+    /// The means over `count` requests; zeros when there were none.
+    fn means(&self, count: u64) -> LatencyBreakdown {
+        let mean = |sum: f64| Nanos::new(if count == 0 { 0.0 } else { sum / count as f64 });
+        LatencyBreakdown {
+            transition: mean(self.transition),
+            queue: mean(self.queue),
+            service: mean(self.service),
+        }
+    }
+}
+
 /// The server simulator: drives a [`WorkloadSpec`] through a
 /// [`ServerConfig`] and produces [`RunMetrics`].
 ///
@@ -76,9 +108,9 @@ pub struct ServerSim {
     cores: Vec<SimCore>,
     rr_next: usize,
     latencies: SampleSet,
-    transition_waits: SampleSet,
-    queue_waits: SampleSet,
-    service_times: SampleSet,
+    /// Completion-order sums behind [`LatencyBreakdown`]; `completed`
+    /// is their count.
+    phase_sums: PhaseSums,
     completed: u64,
     warmed_up: bool,
     next_arrival: Nanos,
@@ -294,9 +326,7 @@ impl ServerSim {
             cores,
             rr_next: 0,
             latencies: SampleSet::new(),
-            transition_waits: SampleSet::new(),
-            queue_waits: SampleSet::new(),
-            service_times: SampleSet::new(),
+            phase_sums: PhaseSums::ZERO,
             completed: 0,
             warmed_up: false,
             next_arrival: Nanos::ZERO,
@@ -1129,9 +1159,7 @@ impl ServerSim {
             let service = now - core.serve_start;
             let transition = req.wake_penalty.min(sojourn - service);
             let queue = (sojourn - service - transition).clamp_non_negative();
-            self.transition_waits.record(transition.as_nanos());
-            self.queue_waits.record(queue.as_nanos());
-            self.service_times.record(service.as_nanos());
+            self.phase_sums.add(transition, queue, service);
             self.completed += 1;
             if let Some(a) = self.attrib.as_mut() {
                 // By construction queue + transition + service == sojourn
@@ -1311,13 +1339,10 @@ impl ServerSim {
             core.reset_metrics(now);
         }
         self.uncore.reset_metrics(now);
-        // Measurement starts here: swap in reservoirs pre-sized for the
+        // Measurement starts here: swap in a reservoir pre-sized for the
         // expected completions so the record path never reallocates.
-        let expected = self.expected_samples();
-        self.latencies = SampleSet::with_capacity(expected);
-        self.transition_waits = SampleSet::with_capacity(expected);
-        self.queue_waits = SampleSet::with_capacity(expected);
-        self.service_times = SampleSet::with_capacity(expected);
+        self.latencies = SampleSet::with_capacity(self.expected_samples());
+        self.phase_sums = PhaseSums::ZERO;
         self.completed = 0;
         self.warmed_up = true;
     }
@@ -1378,11 +1403,7 @@ impl ServerSim {
         ];
         let server_latency = LatencyStats::from_samples(&mut self.latencies);
         let end_to_end_latency = server_latency.offset_by(self.workload.network_rtt());
-        let breakdown = LatencyBreakdown {
-            transition: Nanos::new(self.transition_waits.mean().unwrap_or(0.0)),
-            queue: Nanos::new(self.queue_waits.mean().unwrap_or(0.0)),
-            service: Nanos::new(self.service_times.mean().unwrap_or(0.0)),
-        };
+        let breakdown = self.phase_sums.means(self.completed);
         let turbo_fraction = if total_busy > Nanos::ZERO {
             Ratio::new(turbo_busy / total_busy)
         } else {
@@ -1601,6 +1622,28 @@ mod tests {
         assert!(tl.windows().iter().map(|w| w.completed()).sum::<u64>() > 0);
         assert!(tl.windows().iter().any(|w| w.energy() > aw_types::Joules::ZERO));
         assert!(!tl.residency_states().is_empty());
+    }
+
+    #[test]
+    fn breakdown_means_are_completion_order_sums() {
+        // The breakdown folds running sums instead of keeping per-request
+        // reservoirs. Pin the fold order: each mean must be bit-identical
+        // to summing the spans' phases in completion order and dividing
+        // by the span count.
+        let out =
+            SimBuilder::new(short_config(NamedConfig::Baseline), light_workload(60_000.0), 23)
+                .with_attribution(Nanos::from_millis(10.0))
+                .run();
+        let spans = out.attribution.expect("attribution enabled").spans;
+        assert_eq!(spans.len() as u64, out.metrics.completed);
+        assert!(spans.iter().any(|s| s.exit_penalty > Nanos::ZERO), "no idle exits to sum");
+        let mean = |phase: fn(&RequestSpan) -> Nanos| {
+            spans.iter().map(|s| phase(s).as_nanos()).sum::<f64>() / spans.len() as f64
+        };
+        let b = out.metrics.breakdown;
+        assert_eq!(b.transition.as_nanos().to_bits(), mean(|s| s.exit_penalty).to_bits());
+        assert_eq!(b.queue.as_nanos().to_bits(), mean(|s| s.queue_wait).to_bits());
+        assert_eq!(b.service.as_nanos().to_bits(), mean(|s| s.service).to_bits());
     }
 
     #[test]

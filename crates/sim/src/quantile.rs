@@ -192,9 +192,7 @@ impl P2Quantile {
             if self.warmup.is_empty() {
                 return None;
             }
-            let rank =
-                ((self.q * self.warmup.len() as f64).ceil() as usize).clamp(1, self.warmup.len());
-            return Some(self.warmup[rank - 1]);
+            return Some(self.warmup[crate::stats::nearest_rank(self.q, self.warmup.len()) - 1]);
         }
         Some(self.heights[2])
     }

@@ -114,7 +114,15 @@ impl OnlineStats {
 ///
 /// The evaluation reports p50/p99 ("tail") latencies over full runs, which
 /// fit comfortably in memory, so we keep exact samples rather than a sketch.
-/// Percentiles use the nearest-rank method.
+/// Percentiles use the nearest-rank method. A reservoir costs 8 bytes per
+/// sample, so keep one only where order statistics are read; a quantity
+/// read only for its mean is a running sum and a count.
+///
+/// Every query is an O(n) pass of [`exact_quantiles`] selections:
+/// [`percentile`](Self::percentile) reads one rank,
+/// [`quantiles`](Self::quantiles) a fixed set of ranks at once. Both
+/// reorder the samples, so read [`mean`](Self::mean) first when its bits
+/// must match an insertion-order sum.
 ///
 /// # NaN policy
 ///
@@ -142,15 +150,13 @@ impl OnlineStats {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SampleSet {
     samples: Vec<f64>,
-    #[serde(skip)]
-    sorted: bool,
 }
 
 impl SampleSet {
     /// Creates an empty sample set.
     #[must_use]
     pub fn new() -> Self {
-        SampleSet { samples: Vec::new(), sorted: true }
+        SampleSet { samples: Vec::new() }
     }
 
     /// Creates an empty sample set with room for `capacity` samples.
@@ -160,7 +166,7 @@ impl SampleSet {
     /// reallocations of a growing reservoir.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        SampleSet { samples: Vec::with_capacity(capacity), sorted: true }
+        SampleSet { samples: Vec::with_capacity(capacity) }
     }
 
     /// Reserves room for at least `additional` further samples.
@@ -171,7 +177,6 @@ impl SampleSet {
     /// Records one sample.
     pub fn record(&mut self, x: f64) {
         self.samples.push(x);
-        self.sorted = false;
     }
 
     /// Number of samples recorded.
@@ -196,40 +201,73 @@ impl SampleSet {
         }
     }
 
-    /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`. `None` if empty.
+    /// The `q`-quantile (nearest-rank), `q` in `[0, 1]`, by one selection
+    /// (see [`exact_quantiles`]). `None` if empty.
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     #[must_use]
     pub fn percentile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            // `total_cmp` is a total order, so there is no NaN panic
-            // path here, and `sort_unstable` skips the stable sort's
-            // scratch allocation; for the NaN-free data the simulators
-            // produce the resulting order is identical.
-            self.samples.sort_unstable_by(f64::total_cmp);
-            self.sorted = true;
-        }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).clamp(1, self.samples.len());
-        Some(self.samples[rank - 1])
+        self.quantiles([q]).map(|[v]| v)
     }
 
-    /// Convenience: the median (p50).
+    /// The `qs`-quantiles (nearest-rank), ascending `q` in `[0, 1]`, in
+    /// one pass of selections (see [`exact_quantiles`]). `None` if empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `q` is outside `[0, 1]` or `qs` is not ascending.
     #[must_use]
-    pub fn median(&mut self) -> Option<f64> {
-        self.percentile(0.5)
+    pub fn quantiles<const N: usize>(&mut self, qs: [f64; N]) -> Option<[f64; N]> {
+        exact_quantiles(&mut self.samples, qs)
     }
+}
 
-    /// Convenience: the p99 "tail" latency used throughout the evaluation.
-    #[must_use]
-    pub fn p99(&mut self) -> Option<f64> {
-        self.percentile(0.99)
+/// The 1-based nearest rank of the `q`-quantile among `n > 0` samples:
+/// the smallest rank with at least `q·n` of the sample at or below it.
+pub(crate) fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// Exact nearest-rank quantiles of `samples` by selection: O(n) for any
+/// fixed number of ranks, where a full sort is O(n log n). `None` if
+/// `samples` is empty.
+///
+/// The values are those of sorting under [`f64::total_cmp`] and indexing
+/// the nearest rank, so a NaN ranks as that order places it. Ranks are taken in ascending order; each one is a
+/// `select_nth_unstable_by` on the part of the slice right of the
+/// previous rank, which holds exactly the larger samples. The slice is
+/// left partitioned around every selected rank.
+///
+/// # Panics
+///
+/// Panics if a `q` is outside `[0, 1]` or `qs` is not ascending.
+///
+/// # Examples
+///
+/// ```
+/// let mut xs = [5.0, 1.0, 4.0, 2.0, 3.0];
+/// assert_eq!(aw_sim::exact_quantiles(&mut xs, [0.5, 1.0]), Some([3.0, 5.0]));
+/// assert_eq!(aw_sim::exact_quantiles(&mut [], [0.5]), None);
+/// ```
+pub fn exact_quantiles<const N: usize>(samples: &mut [f64], qs: [f64; N]) -> Option<[f64; N]> {
+    assert!(qs.iter().all(|q| (0.0..=1.0).contains(q)), "quantile must be in [0, 1]");
+    assert!(qs.is_sorted(), "quantiles must be ascending");
+    let n = samples.len();
+    if n == 0 {
+        return None;
     }
+    // Everything left of `lo` is at or below the last selected rank.
+    let mut lo = 0;
+    Some(qs.map(|q| {
+        let idx = nearest_rank(q, n) - 1;
+        if idx >= lo {
+            samples[lo..].select_nth_unstable_by(idx - lo, f64::total_cmp);
+            lo = idx + 1;
+        }
+        samples[idx]
+    }))
 }
 
 /// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
@@ -392,7 +430,6 @@ mod tests {
         assert_eq!(s.percentile(0.1), Some(1.0));
         assert_eq!(s.percentile(0.5), Some(5.0));
         assert_eq!(s.percentile(1.0), Some(10.0));
-        assert_eq!(s.median(), Some(5.0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests of the simulation kernel's invariants.
 
 use aw_sim::{
-    Distribution, Empirical, EnergyMeter, EventQueue, Exponential, Histogram, LogNormal,
-    OnlineStats, P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
+    exact_quantiles, Distribution, Empirical, EnergyMeter, EventQueue, Exponential, Histogram,
+    LogNormal, OnlineStats, P2Quantile, Pareto, Point, ResidencyTracker, SampleSet, SimRng,
 };
 use aw_types::{MilliWatts, Nanos};
 use proptest::prelude::*;
@@ -235,6 +235,61 @@ proptest! {
             p50.reset();
             p99.reset();
         }
+    }
+
+    /// Multi-rank selection returns, bit for bit, what sorting under
+    /// `total_cmp` and indexing the nearest rank returns: with duplicates,
+    /// both signed zeros, both signed NaNs and infinities in the data, at
+    /// q = 0 and q = 1, and when several q share a rank. `SampleSet`
+    /// answers the same, also when its samples were recorded in sorted
+    /// order.
+    #[test]
+    fn selected_quantiles_equal_sort_then_index(
+        xs in prop::collection::vec((0usize..10, -50.0f64..50.0), 1..40),
+        picks in prop::collection::vec((0usize..4, 0.0f64..=1.0), 5),
+    ) {
+        let specials = [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        // Kinds 0..6 are the special values; 6 and 7 round to a handful
+        // of integers so duplicates are common.
+        let data: Vec<f64> = xs
+            .iter()
+            .map(|&(kind, x)| match kind {
+                0..=5 => specials[kind],
+                6 | 7 => (x / 20.0).round(),
+                _ => x,
+            })
+            .collect();
+        let mut qs = [0.0; 5];
+        for (q, &(kind, x)) in qs.iter_mut().zip(&picks) {
+            *q = [0.0, 1.0, 0.99, x][kind];
+        }
+        qs.sort_by(f64::total_cmp);
+
+        let bits = |v: [f64; 5]| v.map(f64::to_bits);
+        let reference = |xs: &[f64]| {
+            let mut sorted = xs.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+            qs.map(|q| sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1])
+        };
+        for len in [1, data.len()] {
+            let want = bits(reference(&data[..len]));
+            let mut work = data[..len].to_vec();
+            prop_assert_eq!(exact_quantiles(&mut work, qs).map(bits), Some(want));
+
+            let mut set = SampleSet::new();
+            for &x in &data[..len] { set.record(x); }
+            prop_assert_eq!(set.quantiles(qs).map(bits), Some(want));
+            let singles = qs.map(|q| set.percentile(q).unwrap());
+            prop_assert_eq!(bits(singles), want);
+
+            let mut ascending = data[..len].to_vec();
+            ascending.sort_by(f64::total_cmp);
+            let mut set = SampleSet::new();
+            for &x in &ascending { set.record(x); }
+            prop_assert_eq!(set.quantiles(qs).map(bits), Some(want));
+        }
+        prop_assert_eq!(exact_quantiles(&mut [], qs), None);
     }
 
     /// Forked RNG streams never collide with the parent stream.

@@ -6,6 +6,7 @@ use std::fmt;
 
 use aw_cstates::CState;
 use aw_server::IdleInterval;
+use aw_sim::exact_quantiles;
 use aw_telemetry::LogHistogram;
 use aw_types::{Joules, Nanos};
 
@@ -51,15 +52,8 @@ impl IdleDistribution {
             sum += d;
         }
         let count = durations.len() as u64;
-        let mut exact = |q: f64| -> Nanos {
-            if durations.is_empty() {
-                return Nanos::ZERO;
-            }
-            // Nearest-rank: the smallest value with at least q·n of the
-            // sample at or below it.
-            let idx = ((q * count as f64).ceil() as usize).clamp(1, durations.len()) - 1;
-            Nanos::new(*durations.select_nth_unstable_by(idx, f64::total_cmp).1)
-        };
+        let [p50, p90, p99] =
+            exact_quantiles(durations, [0.50, 0.90, 0.99]).unwrap_or([0.0; 3]).map(Nanos::new);
         Self {
             core,
             count,
@@ -67,9 +61,9 @@ impl IdleDistribution {
             min: if count == 0 { Nanos::ZERO } else { Nanos::new(min) },
             max: if count == 0 { Nanos::ZERO } else { Nanos::new(max) },
             mean: if count == 0 { Nanos::ZERO } else { Nanos::new(sum / count as f64) },
-            p50: exact(0.50),
-            p90: exact(0.90),
-            p99: exact(0.99),
+            p50,
+            p90,
+            p99,
         }
     }
 }

@@ -194,4 +194,27 @@ grep -q "known models" /tmp/aw_hw_err || {
     exit 1
 }
 
+echo "==> benchmark self-tests"
+# Building the benchmark lets cargo re-resolve perfbench/Cargo.lock
+# against the workspace crates. Put the tracked file back on exit, pass
+# or fail, so a verify run never leaves a benchmark file modified.
+bench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" perfbench/Cargo.lock; rm -f "$bench_lock"' EXIT
+cargo test -q --manifest-path perfbench/Cargo.toml
+python3 -m unittest perfbench/test_run.py
+
+echo "==> benchmark byte-identity smoke (held-out seed 7919)"
+# Every call's digest must match the one pinned in perfbench/digests.json:
+# a speed-only change leaves the simulated statistics bit-identical.
+for w in server_hot server_light_analyze fleet_diurnal; do
+    result=$(python3 perfbench/run.py --workload "$w" --seed 7919 --seconds 2 --trace 0 | tail -n 1)
+    failed=$(echo "$result" | python3 -c 'import json, sys; print(json.load(sys.stdin)["failed"])')
+    if [ "$failed" != "0" ]; then
+        echo "verify: benchmark workload $w failed $failed call(s) on seed 7919" >&2
+        echo "$result" >&2
+        exit 1
+    fi
+done
+
 echo "verify: OK"
