@@ -5,7 +5,6 @@
 //! configurations. [`NamedConfig`] enumerates them and [`CStateConfig`]
 //! carries the resulting enable mask.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -123,9 +122,11 @@ impl fmt::Display for NamedConfig {
 /// assert!(!cfg.turbo());
 /// assert_eq!(cfg.deepest(), Some(CState::C1E));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CStateConfig {
-    enabled: BTreeSet<CState>,
+    /// Bit `state as usize` set for each enabled state; the discriminant
+    /// order is the depth order.
+    enabled: u8,
     turbo: bool,
 }
 
@@ -139,16 +140,16 @@ impl CStateConfig {
     /// provides C1-equivalent halt).
     #[must_use]
     pub fn new(states: impl IntoIterator<Item = CState>, turbo: bool) -> Self {
-        let enabled: BTreeSet<CState> = states.into_iter().collect();
-        assert!(!enabled.contains(&CState::C0), "C0 is implicit and cannot be listed");
-        assert!(!enabled.is_empty(), "at least one idle state must be enabled");
+        let enabled = states.into_iter().fold(0u8, |m, s| m | bit(s));
+        assert!(enabled & bit(CState::C0) == 0, "C0 is implicit and cannot be listed");
+        assert!(enabled != 0, "at least one idle state must be enabled");
         CStateConfig { enabled, turbo }
     }
 
     /// `true` if the OS may request `state` while idling.
     #[must_use]
     pub fn is_enabled(&self, state: CState) -> bool {
-        self.enabled.contains(&state)
+        self.enabled & bit(state) != 0
     }
 
     /// Whether Turbo boost is enabled.
@@ -168,20 +169,20 @@ impl CStateConfig {
     /// used by governors that run once per idle entry. [`CState::ALL`]
     /// is depth-ordered, so the order matches `enabled_states` exactly.
     pub fn iter_enabled(&self) -> impl Iterator<Item = CState> + '_ {
-        CState::ALL.into_iter().filter(|s| self.enabled.contains(s))
+        CState::ALL.into_iter().filter(|&s| self.is_enabled(s))
     }
 
     /// The deepest enabled idle state.
     #[must_use]
     pub fn deepest(&self) -> Option<CState> {
-        self.enabled_states().last().copied()
+        self.iter_enabled().last()
     }
 
     /// The shallowest enabled idle state (the fallback when predicted idle
     /// time is too short for anything deeper).
     #[must_use]
     pub fn shallowest(&self) -> Option<CState> {
-        self.enabled_states().first().copied()
+        self.iter_enabled().next()
     }
 
     /// The AgileWatts twin of this configuration: every legacy shallow
@@ -204,7 +205,7 @@ impl CStateConfig {
     #[must_use]
     pub fn aw_twin(&self) -> CStateConfig {
         CStateConfig::new(
-            self.enabled.iter().map(|&s| s.agile_replacement().unwrap_or(s)),
+            self.iter_enabled().map(|s| s.agile_replacement().unwrap_or(s)),
             self.turbo,
         )
     }
@@ -226,7 +227,7 @@ impl CStateConfig {
     /// ```
     #[must_use]
     pub fn demote_agile(&self) -> CStateConfig {
-        CStateConfig::new(self.enabled.iter().map(|&s| s.replaces().unwrap_or(s)), self.turbo)
+        CStateConfig::new(self.iter_enabled().map(|s| s.replaces().unwrap_or(s)), self.turbo)
     }
 
     /// Validates this configuration against a catalog: every enabled state
@@ -236,13 +237,13 @@ impl CStateConfig {
     ///
     /// Returns the first state missing from the catalog.
     pub fn validate(&self, catalog: &CStateCatalog) -> Result<(), CState> {
-        for &s in &self.enabled {
-            if catalog.get(s).is_none() {
-                return Err(s);
-            }
-        }
-        Ok(())
+        self.iter_enabled().find(|&s| catalog.get(s).is_none()).map_or(Ok(()), Err)
     }
+}
+
+/// The [`CStateConfig::enabled`] mask bit of `state`.
+fn bit(state: CState) -> u8 {
+    1 << state as u8
 }
 
 #[cfg(test)]

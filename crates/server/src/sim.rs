@@ -184,7 +184,7 @@ pub struct ServerSim {
     stream_slo: Option<Nanos>,
     /// `false` disables the analytic idle-skip fast path (the
     /// `--no-idle-skip` debug flag): every event then flows through the
-    /// calendar queue exactly as in the classic stepped engine. The two
+    /// event queue exactly as in the classic stepped engine. The two
     /// modes are byte-identical by construction (DESIGN §15); the flag
     /// exists so the equivalence stays checkable end-to-end.
     idle_skip: bool,
@@ -296,15 +296,17 @@ impl ServerSim {
             .collect();
         let idle_predictions = vec![None; config.cores];
         let demoted_cstates = config.cstates.demote_agile();
-        // Pending-event envelope, sized like the sample reservoirs from
-        // the offered load rather than from the core count alone: one
-        // service/entry/wake deadline per core, per-core timer ticks, a
-        // handful of global timers (arrival, snoop, warmup, fault
-        // clocks) — plus, when overload protection can shed or expire
-        // work, up to one in-flight retry event per request arriving
-        // inside the longest jittered backoff window (offered QPS ×
-        // horizon × one event each, capped so a pathological
-        // parameterization cannot demand an absurd allocation).
+        // Pending-event envelope: the queue's heap is pre-sized to it so
+        // the schedule/pop loop never reallocates. It is sized like the
+        // sample reservoirs, from the offered load rather than from the
+        // core count alone: one service/entry/wake deadline per core,
+        // per-core timer ticks, a handful of global timers (arrival,
+        // snoop, warmup, fault clocks) — plus, when overload protection
+        // can shed or expire work, up to one in-flight retry event per
+        // request arriving inside the longest jittered backoff window
+        // (offered QPS × horizon × one event each, capped so a
+        // pathological parameterization cannot demand an absurd
+        // allocation).
         let mut queue_cap = config.cores * 4 + 16;
         if config.queue_cap.is_some() || config.request_timeout.is_some() {
             let exp = f64::from(1u32 << (config.retry.max_attempts.saturating_sub(1)).min(8));
@@ -812,7 +814,7 @@ impl ServerSim {
     /// shortens service, so the bound is conservative. The strictness
     /// matters: on an exact tie the stepped engine would pop the
     /// earlier-scheduled event first, so ties fall back to stepping.
-    fn chain_eligible(&mut self, id: usize, state: CState, now: Nanos, service: Nanos) -> bool {
+    fn chain_eligible(&self, id: usize, state: CState, now: Nanos, service: Nanos) -> bool {
         if !self.idle_skip
             || self.faults.is_some()
             || self.telemetry.is_some()

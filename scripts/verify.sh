@@ -21,6 +21,11 @@ cargo test -q --workspace --doc
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> kernel micro-bench (steady-state zero-allocation event-queue check)"
+# The bench binary asserts that 100k warm schedule/pop operations stay
+# within a budget of 8 allocations before it times anything.
+cargo bench -q --offline -p aw-bench --bench kernel_micro
+
 echo "==> latency_attribution example smoke"
 out=$(cargo run -q --release --example latency_attribution -- --quick)
 echo "$out" | grep -q "Latency attribution" || {
