@@ -50,3 +50,45 @@ pub use config::{CStateConfig, NamedConfig};
 pub use flows::{C1Flow, C6AFlow, C6Flow, FlowPhase, FlowStep, PMA_CLOCK, SKYLAKE_CACHE_REFERENCE};
 pub use governor::{CircuitBreaker, IdleGovernor, LadderGovernor, MenuGovernor, OracleGovernor};
 pub use state::{CState, FreqLevel};
+
+/// The `aw-hw` Skylake-SP menus in this crate's own types, for the unit
+/// tests.
+///
+/// Unit tests link `aw-hw` against a second, non-test build of this
+/// crate whose types do not unify with `crate::*`, so the rows are
+/// copied across field by field. The Table 1 constants keep one source:
+/// `aw-hw`'s Skylake-SP model.
+#[cfg(test)]
+mod skylake_sp {
+    use crate::{CState, CStateCatalog, CStateParams};
+
+    /// The legacy menu: C0, C1, C1E and C6.
+    pub(crate) fn base_catalog() -> CStateCatalog {
+        menu(false)
+    }
+
+    /// The AgileWatts menu: the legacy one plus C6A and C6AE.
+    pub(crate) fn catalog() -> CStateCatalog {
+        menu(true)
+    }
+
+    fn menu(with_aw: bool) -> CStateCatalog {
+        let model = aw_hw::HardwareModel::skylake_sp();
+        let theirs = if with_aw { model.catalog() } else { model.base_catalog() };
+        let mut ours = CStateCatalog::empty();
+        for s in theirs.states() {
+            let p = theirs.params(s);
+            ours.set_params(CStateParams {
+                state: CState::ALL[s as usize],
+                transition_time: p.transition_time,
+                entry_latency: p.entry_latency,
+                exit_latency: p.exit_latency,
+                target_residency: p.target_residency,
+                power_p1: p.power_p1,
+                power_pn: p.power_pn,
+                hw_exit: p.hw_exit,
+            });
+        }
+        ours
+    }
+}

@@ -14,8 +14,8 @@
 
 use std::fmt;
 
+use aw_telemetry::json::JsonValue;
 use aw_types::Nanos;
-use serde::Serialize;
 
 use crate::spec::FaultSpecError;
 
@@ -39,7 +39,7 @@ pub const DEFAULT_FLEET_FAULT_SEED: u64 = 0x00F1_EE75;
 /// assert!(spec.is_active());
 /// assert!(!FleetFaultSpec::none().is_active());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetFaultSpec {
     /// Seed of the fleet fault draws (independent of the workload seed).
     pub seed: u64,
@@ -397,7 +397,7 @@ impl FleetFaultPlan {
 }
 
 /// What happened to a server (or rack) at a fleet epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetFaultKind {
     /// The server crashed mid-epoch.
     Crash,
@@ -454,7 +454,7 @@ impl fmt::Display for FleetFaultKind {
 }
 
 /// One fleet fault event: what happened, where, and when.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetFaultRecord {
     /// Epoch index the event fired at.
     pub epoch: usize,
@@ -474,28 +474,13 @@ impl fmt::Display for FleetFaultRecord {
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A replayable record of a chaotic fleet run: the fleet seed, the
 /// canonical fleet fault spec, and every fault event that fired.
 ///
 /// Unlike [`FailureArtifact`](crate::FailureArtifact) this does not mean
 /// something went *wrong* — it is the flight recorder of an intentional
 /// chaos run, carrying exactly the flags that reproduce it.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetFailureArtifact {
     /// The fleet simulation (workload) seed.
     pub seed: u64,
@@ -512,29 +497,22 @@ impl FleetFailureArtifact {
         FleetFailureArtifact { seed, fleet_spec: spec.to_string(), events }
     }
 
-    /// Hand-rolled JSON rendering (the vendored serde stand-in does not
-    /// provide a serializer), suitable for logs and replay tooling.
+    /// Compact JSON rendering, suitable for logs and replay tooling.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"epoch\":{},\"server\":{},\"kind\":\"{}\"}}",
-                    e.epoch,
-                    e.server,
-                    e.kind.name()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"seed\":{},\"fleet_spec\":\"{}\",\"events\":[{}]}}",
-            self.seed,
-            escape_json(&self.fleet_spec),
-            events
-        )
+        let events = self.events.iter().map(|e| {
+            JsonValue::obj(vec![
+                ("epoch", JsonValue::UInt(e.epoch as u64)),
+                ("server", JsonValue::UInt(e.server as u64)),
+                ("kind", JsonValue::str(e.kind.name())),
+            ])
+        });
+        JsonValue::obj(vec![
+            ("seed", JsonValue::UInt(self.seed)),
+            ("fleet_spec", JsonValue::str(self.fleet_spec.as_str())),
+            ("events", JsonValue::Array(events.collect())),
+        ])
+        .render()
     }
 
     /// The CLI flags that replay this exact fleet run.
@@ -698,12 +676,22 @@ mod tests {
             FleetFaultRecord { epoch: 5, server: 1, kind: FleetFaultKind::Restart },
         ];
         let a = FleetFailureArtifact::new(42, &spec, events);
-        let json = a.to_json();
-        assert!(json.starts_with("{\"seed\":42,"));
-        assert!(json.contains("\"kind\":\"crash\""));
-        assert!(json.contains("\"kind\":\"restart\""));
+        assert_eq!(
+            a.to_json(),
+            r#"{"seed":42,"fleet_spec":"seed=5,crash-at=2:1","events":[{"epoch":2,"server":1,"kind":"crash"},{"epoch":5,"server":1,"kind":"restart"}]}"#
+        );
         assert!(a.replay_hint().contains("--fleet-faults 'seed=5,crash-at=2:1'"));
         assert!(a.to_string().contains("replay with:"));
         assert_eq!(FleetFaultSpec::parse(&a.fleet_spec).unwrap(), spec);
+        // A hand-built spec string exercises every escape.
+        let odd = FleetFailureArtifact {
+            seed: 1,
+            fleet_spec: "a\"b\\c\nd\te\u{1}f\rg".to_string(),
+            events: Vec::new(),
+        };
+        assert_eq!(
+            odd.to_json(),
+            r#"{"seed":1,"fleet_spec":"a\"b\\c\nd\te\u0001f\rg","events":[]}"#
+        );
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use aw_cstates::{CState, CStateConfig, CircuitBreaker};
-use aw_faults::{FailureArtifact, FaultPlan, InvariantChecker, ServerFaultHook};
+use aw_faults::{FailureArtifact, FaultPlan, InvariantChecker};
 use aw_power::ResidencyVector;
 use aw_sim::{EventQueue, SampleSet, SimRng};
 use aw_telemetry::{
@@ -135,7 +135,7 @@ pub struct ServerSim {
     /// [`crate::SimBuilder::with_faults`]). Every draw comes from the
     /// plan's own seeded streams, so the workload sample path is never
     /// perturbed.
-    faults: Option<Box<dyn ServerFaultHook>>,
+    faults: Option<FaultPlan>,
     /// Dedicated stream for client retry-backoff jitter: drawn only when
     /// a request is actually shed or timed out, so overload-free runs
     /// never touch it (common random numbers).
@@ -379,7 +379,7 @@ impl ServerSim {
     /// with no plan attached, and the same seed + plan always reproduces
     /// the same disrupted run.
     pub(crate) fn set_faults(&mut self, plan: FaultPlan) {
-        self.faults = Some(Box::new(plan));
+        self.faults = Some(plan);
     }
 
     /// Enables telemetry (used by

@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use aw_types::Nanos;
-use serde::Serialize;
 
 use crate::span::{Phase, RequestSpan};
 use crate::stream::{StreamWindow, WindowCounters, WindowObserver};
@@ -22,7 +21,7 @@ use crate::timeline::{Timeline, TimelineWindow};
 
 /// Mean per-request contribution of each phase over one bucket of
 /// requests.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseMeans {
     /// Mean [`Phase::QueueWait`].
     pub queue: Nanos,
@@ -74,7 +73,7 @@ impl PhaseMeans {
 }
 
 /// Exit penalty charged by one C-state over one bucket of requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExitShare {
     /// The C-state label (e.g. `"C6"`, `"C6A"`).
     pub state: &'static str,
@@ -85,7 +84,7 @@ pub struct ExitShare {
 }
 
 /// The reduced attribution of one run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributionSummary {
     /// Completed (measured) requests.
     pub requests: u64,
