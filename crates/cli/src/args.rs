@@ -258,13 +258,6 @@ pub struct ExecArgs {
     /// auto-enabled on a TTY and off in scripts/pipelines, so golden
     /// outputs never change.
     pub progress: bool,
-    /// `--no-idle-skip`: disable the analytic idle-skip fast path,
-    /// forcing every simulation event through the event queue. The
-    /// two engines are byte-identical by contract — this debug knob
-    /// exists so the equivalence stays checkable end-to-end
-    /// (`scripts/verify.sh` diffs a run against its `--no-idle-skip`
-    /// twin).
-    pub no_idle_skip: bool,
 }
 
 /// Robustness options, accepted by every experiment subcommand:
@@ -355,9 +348,6 @@ impl CommonArgs {
         if self.exec.progress {
             agilewatts::aw_exec::set_progress(agilewatts::aw_exec::ProgressMode::Enabled);
         }
-        if self.exec.no_idle_skip {
-            agilewatts::aw_server::set_default_idle_skip(false);
-        }
     }
 
     /// Tries to consume `arg` (and its value from `it`) as one of the
@@ -414,7 +404,6 @@ impl CommonArgs {
                 self.exec.jobs = Some(positive_usize("--jobs", &value("--jobs")?)?);
             }
             "--progress" => self.exec.progress = true,
-            "--no-idle-skip" => self.exec.no_idle_skip = true,
             _ => return Ok(false),
         }
         Ok(true)
@@ -923,15 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn no_idle_skip_flag_parses_anywhere() {
-        let (cmd, c) = parse_cli(&argv("fig 8 --no-idle-skip --quick")).unwrap();
-        assert_eq!(cmd, Command::Fig { number: 8, quick: true });
-        assert!(c.exec.no_idle_skip);
-        let (_, c) = parse_cli(&argv("fig 8")).unwrap();
-        assert!(!c.exec.no_idle_skip);
-    }
-
-    #[test]
     fn hw_flag_parses_and_validates_names() {
         let (cmd, c) = parse_cli(&argv("fig 8 --hw skylake-sp --quick")).unwrap();
         assert_eq!(cmd, Command::Fig { number: 8, quick: true });
@@ -976,6 +956,8 @@ mod tests {
     fn unknown_command_suggests_help() {
         let err = parse(&argv("fgi 8")).unwrap_err();
         assert!(err.to_string().contains("help"));
+        let err = parse_cli(&argv("fig 8 --no-idle-skip")).unwrap_err();
+        assert!(err.to_string().contains("--no-idle-skip"), "{err}");
     }
 
     #[test]

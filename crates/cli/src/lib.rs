@@ -76,10 +76,6 @@ EXECUTION OPTIONS (any experiment subcommand):
     --progress             report sweep progress (done/total, points/s,
                            ETA) on stderr; auto-enabled when stderr is a
                            terminal, off when piped
-    --no-idle-skip         disable the analytic idle-skip fast path and
-                           step every event through the event queue;
-                           output is byte-identical either way (debug /
-                           equivalence-checking knob)
 
 OPTIONS (sweep):
     --workload <memcached|kafka-low|kafka-high|mysql-low|mysql-mid|mysql-high|

@@ -474,9 +474,8 @@ fn run_sweep_with(
         metrics.package_residency[1],
         metrics.package_residency[2],
     );
-    // Engine throughput hook for scripts/bench.sh: the event count is
-    // identical with idle-skip on or off, so this line never perturbs
-    // the `--no-idle-skip` equivalence smoke.
+    // Engine throughput hook for scripts/bench.sh: the number of queue
+    // pops, deterministic like every other line of the report.
     println!("  engine:    {} simulation events", metrics.events);
     if robustness.is_active() || !metrics.degradation.is_clean() {
         println!("{}", degradation_table(&metrics.degradation));

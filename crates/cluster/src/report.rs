@@ -184,7 +184,7 @@ pub struct FleetReport {
     /// Total completions over the whole run.
     pub completed: u64,
     /// Total simulation events processed across every simulated
-    /// server-epoch (queue pops plus inline idle-skip chain steps).
+    /// server-epoch (queue pops).
     /// Dividing by wall-clock gives the fleet engine throughput tracked
     /// in `BENCH_singlerun.json`.
     pub events: u64,

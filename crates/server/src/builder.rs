@@ -36,8 +36,6 @@
 //! assert!(out.metrics.completed > 0);
 //! ```
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use aw_faults::FaultPlan;
 use aw_telemetry::SloMonitor;
 use aw_types::Nanos;
@@ -45,31 +43,6 @@ use aw_types::Nanos;
 use crate::config::ServerConfig;
 use crate::sim::{RunOutput, ServerSim};
 use crate::workload::WorkloadSpec;
-
-/// Process-wide override that disables the analytic idle-skip fast path
-/// for every subsequently constructed [`SimBuilder`] (the CLI's
-/// `--no-idle-skip`). Mirrors `aw_exec::set_default_jobs`: experiments
-/// construct their builders internally, so a debug knob that must reach
-/// all of them needs a process default rather than N plumbed
-/// parameters. Builders snapshot the default at [`SimBuilder::new`]
-/// time; [`SimBuilder::without_idle_skip`] still forces it off
-/// per-builder.
-static IDLE_SKIP_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide idle-skip default picked up by every
-/// [`SimBuilder::new`] from now on (`false` = force the classic stepped
-/// engine). Both settings are byte-identical by contract; this exists so
-/// the equivalence stays checkable end-to-end.
-pub fn set_default_idle_skip(on: bool) {
-    IDLE_SKIP_DISABLED.store(!on, Ordering::SeqCst);
-}
-
-/// The current process-wide idle-skip default (`true` unless
-/// [`set_default_idle_skip`]`(false)` was called).
-#[must_use]
-pub fn default_idle_skip() -> bool {
-    !IDLE_SKIP_DISABLED.load(Ordering::SeqCst)
-}
 
 /// A declarative description of one simulation run.
 ///
@@ -88,7 +61,6 @@ pub struct SimBuilder {
     slo_p99: Option<Nanos>,
     latency_samples: bool,
     idle_analysis: bool,
-    idle_skip: bool,
 }
 
 impl SimBuilder {
@@ -105,19 +77,7 @@ impl SimBuilder {
             slo_p99: None,
             latency_samples: false,
             idle_analysis: false,
-            idle_skip: default_idle_skip(),
         }
-    }
-
-    /// Disables the analytic idle-skip fast path, forcing every event
-    /// through the event queue (the classic stepped engine). The two
-    /// modes are byte-identical by construction — this debug knob (the
-    /// CLI's `--no-idle-skip`) exists so that equivalence stays
-    /// checkable end-to-end; there is no reason to use it for results.
-    #[must_use]
-    pub fn without_idle_skip(mut self) -> Self {
-        self.idle_skip = false;
-        self
     }
 
     /// Attaches a deterministic fault-injection plan. A plan whose rates
@@ -265,7 +225,6 @@ impl SimBuilder {
                 .then(|| Self::default_window(self.config.duration))
         });
         let mut sim = ServerSim::new(self.config, self.workload, self.seed);
-        sim.set_idle_skip(self.idle_skip);
         if let Some(plan) = self.faults {
             sim.set_faults(plan);
         }

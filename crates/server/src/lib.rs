@@ -47,7 +47,7 @@ pub mod trace;
 mod uncore;
 mod workload;
 
-pub use builder::{default_idle_skip, set_default_idle_skip, SimBuilder};
+pub use builder::SimBuilder;
 pub use config::{BreakerPolicy, Dispatch, GovernorKind, RetryPolicy, ServerConfig, SnoopTraffic};
 pub use core::{CoreState, SimCore};
 pub use idle::IdleInterval;

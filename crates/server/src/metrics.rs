@@ -230,11 +230,10 @@ pub struct RunMetrics {
     pub transitions: BTreeMap<CState, u64>,
     /// Snoop bursts serviced by idle cores.
     pub snoops_served: u64,
-    /// Logical simulation events the engine processed over the whole
-    /// run (warm-up included) — queue pops plus inline idle-skip chain
-    /// steps. Dividing by wall-clock gives the events/sec engine
-    /// throughput tracked in `BENCH_singlerun.json`; the count is
-    /// identical with idle-skip on or off.
+    /// Simulation events the engine processed over the whole run
+    /// (warm-up included): its queue pops. Dividing by wall-clock gives
+    /// the events/sec engine throughput tracked in
+    /// `BENCH_singlerun.json`.
     pub events: u64,
     /// Fraction of busy time spent at Turbo frequency.
     pub turbo_fraction: Ratio,

@@ -182,31 +182,16 @@ pub struct ServerSim {
     /// The p99 target stamped on each streamed window's SLO verdict
     /// (`None` streams windows without a verdict).
     stream_slo: Option<Nanos>,
-    /// `false` disables the analytic idle-skip fast path (the
-    /// `--no-idle-skip` debug flag): every event then flows through the
-    /// event queue exactly as in the classic stepped engine. The two
-    /// modes are byte-identical by construction (DESIGN §15); the flag
-    /// exists so the equivalence stays checkable end-to-end.
-    idle_skip: bool,
-    /// The core whose wake → serve → re-park chain is currently being
-    /// run inline (analytic idle-skip): that core's chain deadlines
-    /// divert to `chain_next` instead of the event queue.
-    chain_core: Option<usize>,
-    /// The next inline-chain event, consumed by the driver loop in
-    /// [`ServerSim::run_chain`]. At most one chain deadline is ever
-    /// outstanding, so a single slot replaces the queue.
-    chain_next: Option<(Nanos, Event)>,
-    /// Upper bound on the service-time stretch factor (AW frequency
-    /// degradation; Turbo only *shortens* service), precomputed for the
-    /// idle-skip eligibility test.
-    max_time_factor: f64,
-    /// Logical simulation events processed — popped from the queue or
-    /// run inline by the idle-skip chain. The numerator of the
-    /// events-per-second throughput metric; identical with idle-skip on
-    /// or off.
+    /// Simulation events popped from the queue: the numerator of the
+    /// events-per-second throughput metric.
     events: u64,
-    /// Events run inline by the idle-skip chain (subset of `events`).
+    /// Queue pops spent on back-to-back wake → serve steps (see
+    /// [`RunOutput::chained`]).
     chained: u64,
+    /// The core and the `events` count of the latest wake start. Only
+    /// the latest wake can still run back to back: any other pop in
+    /// between breaks the sequence.
+    last_wake: (usize, u64),
     /// Cores currently parked in some C-state, maintained incrementally
     /// at each life-cycle transition so the package-state update avoids
     /// an O(cores) rescan on every event.
@@ -249,13 +234,14 @@ pub struct RunOutput {
     /// failing run. [`crate::SimBuilder::run`] hands it back for
     /// harnesses to inspect; [`RunOutput::into_metrics`] panics on it.
     pub failure: Option<FailureArtifact>,
-    /// Events the analytic idle-skip chain ran inline instead of
-    /// through the event queue — a subset of `metrics.events`, always
-    /// zero with idle-skip off. `chained / events` is the skip hit
-    /// rate. Deliberately an engine diagnostic *outside*
-    /// [`RunMetrics`]: instrumented runs (fault plans, telemetry,
-    /// window observers) disable the fast path, and their metrics must
-    /// stay bit-identical to plain runs.
+    /// Queue pops spent on wake → serve sequences that ran back to
+    /// back: a request woke a parked core, and its `WakeDone` and
+    /// `ServiceDone` were the next two pops, with no other event in
+    /// between. Each such request counts both pops, so this is a subset
+    /// of `metrics.events`, and `chained / events` shows how much engine
+    /// work isolated light-load wake-ups make. An engine diagnostic
+    /// outside [`RunMetrics`], read by the repository benchmark (ROADMAP
+    /// item 6).
     pub chained: u64,
 }
 
@@ -316,9 +302,6 @@ impl ServerSim {
                 queue_cap += (retries.ceil() as usize).min(1 << 14);
             }
         }
-        let s = workload.frequency_scalability();
-        let max_time_factor =
-            if config.is_aw() { 1.0 + s * config.aw_frequency_degradation } else { 1.0 };
         ServerSim {
             config,
             workload,
@@ -353,23 +336,12 @@ impl ServerSim {
             idle_predictions,
             observer: None,
             stream_slo: None,
-            idle_skip: true,
-            chain_core: None,
-            chain_next: None,
-            max_time_factor,
             events: 0,
             chained: 0,
+            last_wake: (usize::MAX, 0),
             idle_cores: 0,
             c6_cores: 0,
         }
-    }
-
-    /// Enables or disables the analytic idle-skip fast path (used by
-    /// [`crate::SimBuilder::without_idle_skip`]). Both settings produce
-    /// byte-identical output; `false` forces every event through the
-    /// queue for equivalence checking and debugging.
-    pub(crate) fn set_idle_skip(&mut self, on: bool) {
-        self.idle_skip = on;
     }
 
     /// Attaches a fault-injection plan (used by
@@ -740,12 +712,11 @@ impl ServerSim {
     fn on_arrival(&mut self, now: Nanos) {
         let service = self.workload.next_service(&mut self.rng);
         let id = self.dispatch();
-        // The next arrival is drawn and scheduled *before* the admit so
-        // the queue's earliest pending time covers it — the idle-skip
-        // eligibility test needs the full horizon in one peek. The RNG
-        // draw order (service, dispatch, gap) is unchanged, and no
-        // governor consults `next_arrival` inside `admit`, so the
-        // reordering is invisible to the sample path.
+        // The next arrival is drawn and scheduled *before* the admit.
+        // The RNG draw order is service, dispatch, gap, and the arrival
+        // takes the lower queue sequence number, which breaks exact-time
+        // ties with the deadlines `admit` schedules. Both orders are
+        // pinned by the golden outputs.
         let gap = self.workload.next_gap(&mut self.rng);
         self.next_arrival = now + gap;
         self.queue.schedule(self.next_arrival, Event::Arrival);
@@ -786,11 +757,6 @@ impl ServerSim {
                 // until the redelivery fires (or other work wakes it).
                 self.note_fault(id, now, "lost-wake");
                 self.queue.schedule(now + delay, Event::WakeRedelivery { core: id });
-            } else if self.chain_eligible(id, state, now, service) {
-                // Analytic idle-skip: the whole wake → serve → re-park
-                // chain provably finishes before anything else fires,
-                // so run it inline instead of through the queue.
-                self.run_chain(id, state, now);
             } else {
                 // This request personally pays the (possibly disrupted)
                 // exit latency.
@@ -803,88 +769,6 @@ impl ServerSim {
         }
         // Active, Waking: the queue drains naturally.
         // Entering: EntryDone will notice the pending work and wake.
-    }
-
-    /// Decides whether the freshly admitted request on idle core `id`
-    /// can be served as an inline chain: the wake → serve sequence must
-    /// provably finish *strictly* before any other pending event fires
-    /// and at or before the run's end (DESIGN §15). The bound uses the
-    /// un-disrupted exit latency (fault injection disables the skip
-    /// entirely) and the largest possible service stretch; Turbo only
-    /// shortens service, so the bound is conservative. The strictness
-    /// matters: on an exact tie the stepped engine would pop the
-    /// earlier-scheduled event first, so ties fall back to stepping.
-    fn chain_eligible(&self, id: usize, state: CState, now: Nanos, service: Nanos) -> bool {
-        if !self.idle_skip
-            || self.faults.is_some()
-            || self.telemetry.is_some()
-            || self.observer.is_some()
-            || self.cores[id].queue.len() != 1
-        {
-            return false;
-        }
-        let exit = self.config.catalog.params(state).exit_latency;
-        // A timeout shorter than the exit latency would drop the
-        // request at dispatch and schedule a retry mid-chain.
-        if self.config.request_timeout.is_some_and(|t| exit > t) {
-            return false;
-        }
-        let chain_end = now + exit + service * self.max_time_factor;
-        chain_end <= self.end && self.queue.peek_time().is_some_and(|next| chain_end < next)
-    }
-
-    /// Runs the admitted request's wake → serve steps inline: the same
-    /// handlers the stepped engine would run, at the same timestamps, in
-    /// the same order — only the queue traffic (two schedule/pop round
-    /// trips per request) disappears. Mutations are identical by
-    /// construction, which is what keeps idle-skip on/off byte-identical.
-    ///
-    /// The chain deliberately ends at `ServiceDone`: the re-park
-    /// `EntryDone` deadline that `on_service_done` produces goes through
-    /// the queue like any other event (the chain marker is cleared
-    /// first), so the eligibility horizon never has to bound the entry
-    /// latency of whatever C-state the governor picks next.
-    fn run_chain(&mut self, id: usize, state: CState, now: Nanos) {
-        self.chain_core = Some(id);
-        let exit = self.begin_wake(id, state, now, "arrival");
-        if let Some(req) = self.cores[id].queue.back_mut() {
-            req.wake_penalty = exit;
-            req.wake_state = Some(state);
-        }
-        let Some((wake_at, wake_ev)) = self.chain_next.take() else {
-            self.chain_core = None;
-            return;
-        };
-        self.events += 1;
-        self.chained += 1;
-        let Event::WakeDone { core, gen } = wake_ev else {
-            unreachable!("begin_wake schedules WakeDone");
-        };
-        self.on_wake_done(core, gen, wake_at);
-        let Some((serve_at, serve_ev)) = self.chain_next.take() else {
-            self.chain_core = None;
-            return;
-        };
-        self.events += 1;
-        self.chained += 1;
-        let Event::ServiceDone { core, gen } = serve_ev else {
-            unreachable!("start_service schedules ServiceDone");
-        };
-        // Last inline step: clear the marker so the re-park EntryDone
-        // (and anything else on_service_done schedules) takes the queue.
-        self.chain_core = None;
-        self.on_service_done(core, gen, serve_at);
-    }
-
-    /// Routes a core's wake/serve/park deadline into the event queue
-    /// (stepped mode) or into the inline-chain slot while `id`'s chain
-    /// is being run analytically.
-    fn schedule_core_event(&mut self, id: usize, at: Nanos, event: Event) {
-        if self.chain_core == Some(id) {
-            self.chain_next = Some((at, event));
-        } else {
-            self.queue.schedule(at, event);
-        }
     }
 
     /// Starts core `id`'s wake transition and returns the exit latency it
@@ -904,7 +788,8 @@ impl ServerSim {
         self.switch_core_power(id, now, ramp);
         self.set_core_state(id, now, CoreState::Waking { from });
         let gen = self.cores[id].generation;
-        self.schedule_core_event(id, now + exit, Event::WakeDone { core: id, gen });
+        self.queue.schedule(now + exit, Event::WakeDone { core: id, gen });
+        self.last_wake = (id, self.events);
         self.update_uncore(now);
         exit
     }
@@ -1008,7 +893,7 @@ impl ServerSim {
         self.switch_core_power(id, now, ramp);
         self.set_core_state(id, now, CoreState::Entering { target });
         let gen = self.cores[id].generation;
-        self.schedule_core_event(id, now + entry, Event::EntryDone { core: id, gen });
+        self.queue.schedule(now + entry, Event::EntryDone { core: id, gen });
         self.update_uncore(now);
     }
 
@@ -1133,7 +1018,7 @@ impl ServerSim {
         core.in_flight = Some(req);
         core.serve_start = now;
         let gen = core.generation;
-        self.schedule_core_event(id, now + effective, Event::ServiceDone { core: id, gen });
+        self.queue.schedule(now + effective, Event::ServiceDone { core: id, gen });
     }
 
     fn on_service_done(&mut self, id: usize, gen: u64, now: Nanos) {
@@ -1151,6 +1036,10 @@ impl ServerSim {
         }
         if !req.is_tick {
             self.completed_all += 1;
+        }
+        if req.wake_state.is_some() && (id, self.events) == (self.last_wake.0, self.last_wake.1 + 2)
+        {
+            self.chained += 2;
         }
         if self.warmed_up && !req.is_tick {
             let sojourn = now - req.arrival;
@@ -1532,6 +1421,17 @@ mod tests {
             .run()
             .into_metrics();
         assert!(m.residency_of(CState::C0).get() < 0.2, "{}", m.residencies);
+    }
+
+    #[test]
+    fn back_to_back_wake_chains_shrink_with_load() {
+        let chain_share = |qps| {
+            let out = SimBuilder::new(short_config(NamedConfig::Aw), light_workload(qps), 5).run();
+            assert!(out.chained.is_multiple_of(2) && out.chained <= out.metrics.events);
+            out.chained as f64 / out.metrics.events as f64
+        };
+        let (light, hot) = (chain_share(5_000.0), chain_share(600_000.0));
+        assert!(light > 0.2 && hot < light / 4.0, "light {light}, hot {hot}");
     }
 
     #[test]

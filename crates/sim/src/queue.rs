@@ -119,12 +119,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// The firing time of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -146,10 +140,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("len", &self.len())
-            .field("next_time", &self.peek_time())
-            .finish()
+        f.debug_struct("EventQueue").field("len", &self.len()).finish()
     }
 }
 
@@ -195,18 +186,6 @@ mod tests {
         q.schedule(Nanos::new(0.0), "pos");
         let out: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(out, ["neg", "pos"]);
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(Nanos::new(9.0), ());
-        q.schedule(Nanos::new(4.0), ());
-        assert_eq!(q.peek_time(), Some(Nanos::new(4.0)));
-        assert_eq!(q.pop().unwrap().0, Nanos::new(4.0));
-        assert_eq!(q.peek_time(), Some(Nanos::new(9.0)));
-        q.pop();
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

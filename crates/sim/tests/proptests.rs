@@ -32,13 +32,12 @@ proptest! {
 
     /// The event queue pops in exactly the same order as an independent
     /// `BinaryHeap` reference model keyed on `(time bits, seq)` for
-    /// arbitrary interleavings of `schedule`, `pop` and `peek_time` —
-    /// including equal timestamps (FIFO by sequence number) and pushes
-    /// earlier than the last popped time. A peek always reports the
-    /// model's minimum and never perturbs the pops that follow.
+    /// arbitrary interleavings of `schedule` and `pop` — including equal
+    /// timestamps (FIFO by sequence number) and pushes earlier than the
+    /// last popped time.
     #[test]
     fn queue_matches_binary_heap_reference(
-        ops in prop::collection::vec((0u64..3, 0.0f64..1000.0), 1..400),
+        ops in prop::collection::vec((0u64..2, 0.0f64..1000.0), 1..400),
         quantize: bool,
     ) {
         use std::cmp::Reverse;
@@ -49,15 +48,11 @@ proptest! {
         // are non-negative, so the f64 bit pattern orders like the value.
         let mut model: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
         let mut seq = 0usize;
-        // Op 0 schedules, 1 pops (or schedules on an empty queue), 2 peeks.
+        // Op 0 schedules, 1 pops (or schedules on an empty queue).
         for (op, t) in ops {
             // Half the runs quantize times so equal timestamps are common.
             let t = if quantize { (t / 50.0).floor() * 50.0 } else { t };
-            if op == 2 {
-                let want =
-                    model.peek().map(|&Reverse((bits, _))| Nanos::new(f64::from_bits(bits)));
-                prop_assert_eq!(q.peek_time(), want);
-            } else if op == 0 || model.is_empty() {
+            if op == 0 || model.is_empty() {
                 q.schedule(Nanos::new(t), seq);
                 model.push(Reverse((t.to_bits(), seq)));
                 seq += 1;

@@ -147,10 +147,10 @@ print("wrote BENCH_sweep.json")
 # Single-run engine throughput (BENCH_singlerun.json): raw simulation
 # events per second of wall-clock, not sweep points. Both commands print
 # an "engine: <N> simulation events" line; dividing by the measured wall
-# gives the metric the fast-path work (analytic idle-skip, heap event
-# queue, dense C-state tables, allocation-free hot loop) is judged by. The event count is
-# byte-deterministic — identical at any --jobs and with idle-skip on or
-# off — so the denominator is the only thing that moves PR over PR.
+# gives the metric the engine work (heap event queue, dense C-state
+# tables, allocation-free hot loop) is judged by. The event count is
+# byte-deterministic — identical at any --jobs — so the denominator is
+# the only thing that moves PR over PR.
 
 def events_of(cmd, env_jobs):
     """Total `engine:` simulation events reported by `cmd`."""

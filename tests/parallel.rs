@@ -9,7 +9,7 @@ use agilewatts::aw_cluster::{AutoscalePolicy, FleetConfig, FleetSim, LoadShape, 
 use agilewatts::aw_cstates::NamedConfig;
 use agilewatts::aw_exec::{set_default_jobs, SweepExecutor};
 use agilewatts::aw_faults::{FaultPlan, FaultSpec};
-use agilewatts::aw_server::{set_default_idle_skip, ServerConfig, SimBuilder, WorkloadSpec};
+use agilewatts::aw_server::{ServerConfig, SimBuilder, WorkloadSpec};
 use agilewatts::aw_types::Nanos;
 use agilewatts::experiments::{Fig8, SweepParams};
 
@@ -64,10 +64,10 @@ fn fleet_fingerprint() -> String {
     format!("{:?}", FleetSim::new(config).run())
 }
 
-/// One test function on purpose: [`set_default_jobs`] and
-/// [`set_default_idle_skip`] are process-global, and Rust runs `#[test]`
-/// functions of one binary concurrently — the jobs ladder and the
-/// engine-mode toggles must not race with each other.
+/// One test function on purpose: [`set_default_jobs`] is
+/// process-global, and Rust runs `#[test]` functions of one binary
+/// concurrently — each rung of the jobs ladder must not race with
+/// another.
 #[test]
 fn reports_are_byte_identical_across_worker_counts() {
     let mut runs: Vec<(usize, String, String, String)> = Vec::new();
@@ -93,33 +93,4 @@ fn reports_are_byte_identical_across_worker_counts() {
     let explicit: Vec<u64> =
         SweepExecutor::with_jobs(8).map(&[1u64, 2, 3, 4, 5, 6, 7, 8, 9], |&x| x * x);
     assert_eq!(explicit, vec![1, 4, 9, 16, 25, 36, 49, 64, 81], "results must land by index");
-
-    // The analytic idle-skip fast path is a pure optimization (DESIGN
-    // §15): disabling it must not move a single bit of any report. The
-    // engine counters prove the comparison is not vacuous — the skip-on
-    // run actually took the inline chain, the skip-off run never did.
-    let single = |skip: bool| {
-        let cfg = ServerConfig::new(4, NamedConfig::Aw).with_duration(Nanos::from_millis(60.0));
-        let w = WorkloadSpec::poisson("skip", 40_000.0, Nanos::from_micros(3.0), 0.8);
-        let b = SimBuilder::new(cfg, w, 42);
-        (if skip { b } else { b.without_idle_skip() }).run()
-    };
-    let (on, off) = (single(true), single(false));
-    assert!(on.chained > 0, "idle-skip never fired; the comparison proves nothing");
-    assert_eq!(off.chained, 0, "skip-off run took the inline chain");
-    assert_eq!(
-        format!("{:?}", on.metrics),
-        format!("{:?}", off.metrics),
-        "idle-skip changed the simulation"
-    );
-
-    // The same contract holds through the process-global default — the
-    // path the CLI's `--no-idle-skip` takes — and at fleet scale, where
-    // every simulated server-epoch inherits the default.
-    set_default_idle_skip(false);
-    let fig8_noskip = fig8_fingerprint();
-    let fleet_noskip = fleet_fingerprint();
-    set_default_idle_skip(true);
-    assert_eq!(&fig8_noskip, fig8_serial, "--no-idle-skip changed the Fig. 8 report");
-    assert_eq!(&fleet_noskip, fleet_serial, "--no-idle-skip changed the fleet report");
 }
